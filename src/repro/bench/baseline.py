@@ -17,7 +17,11 @@ are comparable; absolute numbers across machines are not, which is why
 every baseline also times a fixed *calibration* workload in the same
 run and the regression guard compares calibration-normalized ratios —
 a uniformly slower CI runner cancels out, and only genuine relative
-slowdowns (beyond the generous factor) trip the guard.
+slowdowns (beyond the generous factor) trip the guard.  The probe is
+plain seeded numpy that calls nothing in ``repro``, so neither the DP
+backend nor the code under test can move it; the backend the workloads
+ran on is recorded instead (``meta.backend``), and a check against a
+baseline recorded on another backend is refused rather than compared.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import numpy as np
 
 from repro.bench.runner import time_callable
 from repro.bench.workloads import cartel_workload, congestion_scorer
+from repro.core import kernels
 from repro.core.distribution import prepare_scored_prefix
 from repro.core.dp import dp_distribution, dp_distribution_per_ending
 from repro.stream.window import SlidingWindowTopK
@@ -118,10 +123,31 @@ def workload_factories(tiny_only: bool = False) -> dict[str, Callable]:
 def _calibration_factory() -> Callable[[], object]:
     """The fixed machine-speed probe timed alongside every baseline.
 
-    A small independent-tuples dynamic program: deterministic, numpy-
-    bound like the guarded workloads, and fast enough to repeat.
+    Seeded numpy work shaped like a DP cell reduce — shift, stable
+    merge position, grid bucketing and segment sums over a few hundred
+    lines, repeated — so it is bound by the same small-array overheads
+    as the guarded workloads.  It calls nothing in ``repro``: a faster
+    kernel backend or a change to the code under test cannot move the
+    yardstick the guard divides by.
     """
-    return _independent_case(60, 4)
+    rng = np.random.default_rng(2009)
+    scores = np.sort(rng.uniform(0.0, 100.0, 400))
+    probs = rng.uniform(0.05, 1.0, 400)
+    shifts = rng.uniform(0.0, 10.0, 600)
+
+    def run() -> float:
+        total = 0.0
+        for shift in shifts:
+            moved = scores + shift
+            positions = np.searchsorted(scores, moved, side="right")
+            buckets = np.minimum(
+                ((moved - moved[0]) / 0.55).astype(np.int64), 199
+            )
+            sums = np.bincount(buckets, weights=probs * moved)
+            total += float(sums.max()) + float(positions[-1])
+        return total
+
+    return run
 
 
 def run_baseline(
@@ -136,10 +162,11 @@ def run_baseline(
         _calibration_factory(), repeats=max(3, repeats)
     ).seconds
     return {
-        "schema": 1,
+        "schema": 2,
         "meta": {
             "repeats": repeats,
             "tiny_only": tiny_only,
+            "backend": kernels.resolve_backend(None),
             "python": platform.python_version(),
             "machine": platform.machine(),
         },
@@ -172,6 +199,24 @@ def _calibration_scale(current: dict, committed: dict) -> float:
     if now > 0.0 and before > 0.0:
         return now / before
     return 1.0
+
+
+def backend_mismatch(current: dict, committed: dict) -> str | None:
+    """Why ``current`` cannot be checked against ``committed``, if so.
+
+    Timings taken on different DP backends differ several-fold by
+    design, so comparing them would only report the backend.  A
+    baseline that records no backend (schema 1) is not refused.
+    """
+    now = current.get("meta", {}).get("backend")
+    before = committed.get("meta", {}).get("backend")
+    if now is None or before is None or now == before:
+        return None
+    return (
+        f"this run used the {now!r} DP backend but the baseline was "
+        f"recorded on {before!r}; pin REPRO_BACKEND={before} or "
+        "re-record the baseline on this backend"
+    )
 
 
 def check_against_baseline(

@@ -818,6 +818,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     """``repro bench``: run (and persist/check) the core perf baseline."""
     from repro.bench.baseline import (
+        backend_mismatch,
         check_against_baseline,
         read_baseline,
         run_baseline,
@@ -832,6 +833,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"wrote {args.json}")
     if args.check is not None:
         committed = read_baseline(args.check)
+        mismatch = backend_mismatch(data, committed)
+        if mismatch is not None:
+            print(f"error: cannot check against {args.check}: {mismatch}",
+                  file=sys.stderr)
+            return 1
         violations = check_against_baseline(data, committed)
         if violations:
             for line in violations:

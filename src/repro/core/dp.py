@@ -35,8 +35,10 @@ tuples — at most ``m`` of them — on top of the shared prefix state and
 (b) attaching the ending's own rows, which realizes the per-ending
 O(km) cost (hence O(kmn) total) of Section 3.3.3 instead of re-running
 the whole O(kn) program per ending.  The former per-ending
-implementation survives as :func:`dp_distribution_per_ending` for the
-ablation benchmark (``benchmarks/bench_ablation_shared_prefix.py``).
+implementation survives, serial, as :func:`dp_distribution_per_ending`:
+the oracle the differential and shared-prefix test suites compare
+against, and the baseline of the ablation benchmark
+(``benchmarks/bench_ablation_shared_prefix.py``).
 
 Implementation notes
 --------------------
@@ -106,6 +108,10 @@ _Cell = tuple
 #: weighted-mean scores are too quantized to preserve the ascending
 #: invariant of the merge step (and can reach NaN at exactly 0).
 _MIN_CELL_MASS = float(np.finfo(np.float64).tiny)
+
+#: The always-true first segment boundary, prepended with
+#: ``np.concatenate`` (``np.r_`` costs several microseconds a call).
+_FIRST = np.ones(1, dtype=bool)
 
 
 class _Unit:
@@ -232,7 +238,8 @@ def _merge_two(a: tuple, b: tuple) -> tuple:
 
     Equal keys keep ``a`` before ``b`` (``side="right"``), so the
     output is the exact permutation a stable argsort of the
-    concatenation would produce.
+    concatenation would produce.  A ``None`` column (a cell without
+    representative vectors) stays ``None``.
     """
     key_a, key_b = a[0], b[0]
     pos_b = np.searchsorted(key_a, key_b, side="right")
@@ -242,6 +249,9 @@ def _merge_two(a: tuple, b: tuple) -> tuple:
     mask_a[pos_b] = False
     merged = []
     for col_a, col_b in zip(a, b):
+        if col_a is None:
+            merged.append(None)
+            continue
         col = np.empty(total, dtype=np.promote_types(col_a.dtype, col_b.dtype))
         col[mask_a] = col_a
         col[pos_b] = col_b
@@ -270,29 +280,34 @@ def _merge_parts(parts: list[tuple]) -> tuple:
 def _reduce_cell(
     scores: np.ndarray,
     probs: np.ndarray,
-    vectors: np.ndarray,
+    vectors: np.ndarray | None,
     max_lines: int,
 ) -> _Cell:
     """Merge equal scores, then grid-coalesce to ``max_lines`` lines.
 
-    ``scores`` must already be ascending; ``vectors`` is an aligned
-    numpy array (int64 arena ids inside a DP, object tuples at the
-    cross-run merge).  Equal scores always merge (probabilities summed,
-    heavier line's vector kept — the step-3 merge rule of Section 3.2);
-    the grid pass runs only when the line budget is exceeded, and every
-    grid merge joins lines at most ``cell span / max_lines`` apart —
-    the same radius bound as the paper's closest-pair strategy, because
+    The one Python implementation of line coalescing (Section 3.2.1):
+    the DP cells and the delta-maintained window
+    (:mod:`repro.stream.delta`) both reduce through it.  ``scores``
+    must already be ascending; ``vectors`` is an aligned numpy array
+    (int64 arena ids inside a DP, object tuples at the cross-run
+    merge) or ``None`` for cells that carry no representative vectors.
+    Equal scores always merge (probabilities summed, heavier line's
+    vector kept — the step-3 merge rule of Section 3.2); the grid pass
+    runs only when the line budget is exceeded, and every grid merge
+    joins lines at most ``cell span / max_lines`` apart — the same
+    radius bound as the paper's closest-pair strategy, because
     intermediate spans never exceed the final span (Section 3.2.1).
 
-    Deep dense-ME sweeps (full-table ``p_tau=0`` over hundreds of rule
-    tuples) multiply so many existence factors that a bucket's whole
-    mass underflows into the subnormal range or to exactly ``0.0``;
-    the weighted-mean score of such a bucket is ``0/0`` (NaN) or so
-    quantized by subnormal arithmetic that it lands outside its own
-    bucket, breaking the ascending-score invariant
-    :func:`_merge_two` depends on.  A line whose mass cannot even be
-    represented as a normal float is unobservable noise, so those
-    buckets are dropped (see :data:`_MIN_CELL_MASS`).
+    Deep sweeps (full-table ``p_tau=0`` over hundreds of rule tuples,
+    or a long window of near-certain tuples) multiply so many
+    existence factors that a bucket's whole mass underflows into the
+    subnormal range or to exactly ``0.0``; the weighted-mean score of
+    such a bucket is ``0/0`` (NaN) or so quantized by subnormal
+    arithmetic that it lands outside its own bucket, breaking the
+    ascending-score invariant :func:`_merge_two` depends on.  A line
+    whose mass cannot even be represented as a normal float is
+    unobservable noise, so those buckets are dropped (see
+    :data:`_MIN_CELL_MASS`) before the division.
 
     Segment sums go through :func:`_segment_sums` (a ``np.bincount``
     scatter-add) rather than ``np.add.reduceat``: the reduceat
@@ -304,11 +319,11 @@ def _reduce_cell(
     if len(scores) > 1:
         dup = scores[1:] == scores[:-1]
         if dup.any():
-            boundaries = np.r_[True, ~dup]
+            boundaries = np.concatenate((_FIRST, ~dup))
             starts = np.flatnonzero(boundaries)
-            segments = np.cumsum(boundaries) - 1
-            vectors = vectors[_segment_winners(probs, starts)]
-            probs = _segment_sums(probs, segments)
+            if vectors is not None:
+                vectors = vectors[_segment_winners(probs, starts)]
+            probs = _segment_sums(probs, np.cumsum(boundaries) - 1)
             scores = scores[starts]
     if len(scores) > max_lines:
         low = scores[0]
@@ -316,20 +331,20 @@ def _reduce_cell(
         bucket = np.minimum(
             ((scores - low) / width).astype(np.int64), max_lines - 1
         )
-        boundaries = np.r_[True, bucket[1:] != bucket[:-1]]
-        starts = np.flatnonzero(boundaries)
+        boundaries = np.concatenate((_FIRST, bucket[1:] != bucket[:-1]))
         segments = np.cumsum(boundaries) - 1
-        vectors = vectors[_segment_winners(probs, starts)]
+        if vectors is not None:
+            starts = np.flatnonzero(boundaries)
+            vectors = vectors[_segment_winners(probs, starts)]
         weighted = _segment_sums(probs * scores, segments)
         probs = _segment_sums(probs, segments)
-        with np.errstate(invalid="ignore"):
-            scores = weighted / probs
-        dead = probs < _MIN_CELL_MASS
-        if dead.any():
-            live = ~dead
-            scores = scores[live]
+        if probs.min() < _MIN_CELL_MASS:
+            live = probs >= _MIN_CELL_MASS
+            weighted = weighted[live]
             probs = probs[live]
-            vectors = vectors[live]
+            if vectors is not None:
+                vectors = vectors[live]
+        scores = weighted / probs
     return scores, probs, vectors
 
 
@@ -337,13 +352,14 @@ def _combine(
     unit: _Unit,
     skip_cell: _Cell | None,
     take_cell: _Cell | None,
-    arena: _Arena,
+    arena: _Arena | None,
     max_lines: int,
 ) -> _Cell | None:
     """One distribution-merging step (Section 3.2, steps 1-3).
 
     ``skip_cell`` is ``D[r+1][j]`` (unit absent), ``take_cell`` is
-    ``D[r+1][j-1]`` (one constituent exists and is prepended).
+    ``D[r+1][j-1]`` (one constituent exists and is prepended).  Cells
+    without vectors (``None`` third column) never touch ``arena``.
     """
     parts: list[_Cell] = []
     if skip_cell is not None and unit.absent_prob > 0.0:
@@ -356,7 +372,7 @@ def _combine(
                 (
                     scores + c_score,
                     probs * c_prob,
-                    arena.extend(c_tid, vectors),
+                    None if vectors is None else arena.extend(c_tid, vectors),
                 )
             )
     if not parts:
@@ -562,10 +578,12 @@ def _compressed_units(
 
 
 def _merge_cells(cells: list[_Cell], max_lines: int) -> _Cell | None:
-    """Union of per-ending final cells, reduced to the line budget.
+    """Union of cells (stable k-way merge), reduced to the line budget.
 
-    Equal scores merge exactly; the line budget is enforced by the same
-    grid coalescing as the intermediate distributions.
+    Merges per-ending final cells here and segment cells in
+    :mod:`repro.stream.delta`.  Equal scores merge exactly; the line
+    budget is enforced by the same grid coalescing as the intermediate
+    distributions.
     """
     if not cells:
         return None
@@ -981,49 +999,12 @@ def _ending_units(scored: ScoredTable) -> list[tuple[int, int]]:
     return spans
 
 
-def _per_ending_cell(
-    scored: ScoredTable,
-    k: int,
-    start: int,
-    end: int,
-    max_lines: int,
-    backend: str | None = None,
-) -> _Cell | None:
-    """Final cell of one ending unit's bottom-up program (or None).
-
-    The per-span unit of work of :func:`dp_distribution_per_ending`,
-    shared with the process-parallel executor
-    (:mod:`repro.core.kernels.parallel`): the returned cell's vectors
-    are already materialized tid tuples, so it pickles cleanly across
-    a worker-pool boundary.
-    """
-    if end <= k - 1:
-        # A top-k vector's ending tuple sits at position >= k - 1.
-        return None
-    if end - start == 1 and not scored.is_lead(start):
-        pos = start
-        units = _compressed_units(scored, pos, scored[pos].group)
-        item = scored[pos]
-        units.append(_Unit([(item.score, item.prob, item.tid)]))
-        exits = [False] * len(units)
-        exits[-1] = True
-    else:
-        units = _compressed_units(scored, start, None)
-        exits = [False] * len(units)
-        for pos in range(start, end):
-            item = scored[pos]
-            units.append(_Unit([(item.score, item.prob, item.tid)]))
-            exits.append(True)
-    return _dp_run(units, k, exits, max_lines, backend)
-
-
 def dp_distribution_per_ending(
     scored: ScoredTable,
     k: int,
     *,
     max_lines: int = DEFAULT_MAX_LINES,
     backend: str | None = None,
-    workers: int | None = None,
 ) -> ScorePMF:
     """Ablation: one bottom-up dynamic program per ending unit.
 
@@ -1033,15 +1014,11 @@ def dp_distribution_per_ending(
     compressed prefix units from scratch, degrading toward O(kEn) with
     E ending units.  Semantically equivalent to :func:`dp_distribution`
     (which realizes the Section-3.3.3 O(kmn) bound by sharing the
-    prefix state); kept for the ablation benchmark
+    prefix state); kept as the oracle of the differential and
+    shared-prefix test suites and for the ablation benchmark
     ``benchmarks/bench_ablation_shared_prefix.py``, mirroring
-    :func:`dp_distribution_without_lead_regions`.
-
-    Because the per-ending programs are independent, ``workers > 1``
-    fans them out over a process pool (contiguous span chunks, results
-    reassembled in span order — deterministic regardless of worker
-    scheduling); the merged answer is byte-identical to the serial
-    loop.  The sweep counter then reflects only parent-process work.
+    :func:`dp_distribution_without_lead_regions`.  The planner never
+    selects it on its own.
     """
     if k < 1:
         raise AlgorithmError(f"k must be >= 1, got {k}")
@@ -1055,19 +1032,27 @@ def dp_distribution_per_ending(
         ]
         return _cell_to_pmf(_dp_run(units, k, [True] * n, max_lines, backend))
 
-    spans = _ending_units(scored)
-    if workers is not None and workers > 1 and len(spans) > 1:
-        from repro.core.kernels.parallel import per_ending_cells
-
-        partial = per_ending_cells(
-            scored, k, spans, max_lines, backend, workers
-        )
-    else:
-        partial = []
-        for start, end in spans:
-            cell = _per_ending_cell(scored, k, start, end, max_lines, backend)
-            if cell is not None:
-                partial.append(cell)
+    partial: list[_Cell] = []
+    for start, end in _ending_units(scored):
+        if end <= k - 1:
+            # A top-k vector's ending tuple sits at position >= k - 1.
+            continue
+        if end - start == 1 and not scored.is_lead(start):
+            item = scored[start]
+            units = _compressed_units(scored, start, item.group)
+            units.append(_Unit([(item.score, item.prob, item.tid)]))
+            exits = [False] * len(units)
+            exits[-1] = True
+        else:
+            units = _compressed_units(scored, start, None)
+            exits = [False] * len(units)
+            for pos in range(start, end):
+                item = scored[pos]
+                units.append(_Unit([(item.score, item.prob, item.tid)]))
+                exits.append(True)
+        cell = _dp_run(units, k, exits, max_lines, backend)
+        if cell is not None:
+            partial.append(cell)
     merged = _order_cell_vectors(_merge_cells(partial, max_lines), scored)
     return _cell_to_pmf(merged)
 

@@ -14,10 +14,9 @@ is the empty outcome).  Evaluating every column is then one gather of
 the group uniforms plus two vectorized comparisons — no per-group
 Python, no searchsorted, uniform cost regardless of group sizes.
 
-Downstream consumers (:mod:`repro.mc.engine`, the rewritten
-:class:`~repro.uncertain.sampling.WorldSampler`) operate directly on
-the matrix; converting rows to ``frozenset`` worlds is provided for
-the legacy iterator API.
+Downstream consumers (:mod:`repro.mc.engine`) operate directly on the
+matrix; :meth:`BatchWorldSampler.world_sets` converts rows to
+``frozenset`` worlds where a caller wants sets of tids.
 """
 
 from __future__ import annotations

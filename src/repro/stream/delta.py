@@ -43,7 +43,10 @@ this state only while the window holds no live multi-member ME group
 and falls back to the full Section-3 pipeline otherwise — expiry of a
 group member that makes the group degrade to a singleton re-enables
 the delta path automatically.  Cells here carry no representative
-vectors (scores and probabilities only); representative vectors are
+vectors: they are ``(scores, probs, None)`` triples, folded and
+reduced by the DP's own :func:`~repro.core.dp._combine` and
+:func:`~repro.core.dp._reduce_cell` (always on numpy — the compiled
+kernel serves only the vector-carrying DP).  Representative vectors are
 reconstructed *lazily* from the cached rank order — the window wraps
 delta results in a :class:`~repro.core.pmf.LazyVectorPMF` whose first
 vector access runs one vector-carrying dynamic program over
@@ -58,10 +61,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.dp import (  # stable k-way merge + segment sums (shared)
-    _merge_parts,
-    _segment_sums,
-)
+from repro.core.dp import _cell_to_pmf, _combine, _dp_run, _merge_cells, _Unit
 from repro.core.pmf import ScorePMF
 from repro.stream.segments import (
     DEFAULT_SEGMENT_SIZE,
@@ -75,52 +75,18 @@ __all__ = [
     "reconstruct_vector_pmf",
 ]
 
-#: A light DP cell: ``(scores ascending, probs)`` numpy pair, or None.
+#: A DP cell without vectors: ``(scores ascending, probs, None)``, or
+#: None — reduced by :func:`repro.core.dp._reduce_cell`.
 _Cell = tuple
 
 
 def _base_cell() -> _Cell:
-    return (np.zeros(1), np.ones(1))
-
-
-def _reduce(scores: np.ndarray, probs: np.ndarray, max_lines: int) -> _Cell:
-    """Merge equal scores, then grid-coalesce to the line budget.
-
-    The vectorless twin of :func:`repro.core.dp._reduce_cell` (same
-    merge rule and the same span/max_lines grid-width bound).
-    """
-    if len(scores) > 1:
-        dup = scores[1:] == scores[:-1]
-        if dup.any():
-            boundaries = np.r_[True, ~dup]
-            starts = np.flatnonzero(boundaries)
-            probs = _segment_sums(probs, np.cumsum(boundaries) - 1)
-            scores = scores[starts]
-    if len(scores) > max_lines:
-        low = scores[0]
-        width = (scores[-1] - low) / max_lines
-        bucket = np.minimum(
-            ((scores - low) / width).astype(np.int64), max_lines - 1
-        )
-        boundaries = np.r_[True, bucket[1:] != bucket[:-1]]
-        segments = np.cumsum(boundaries) - 1
-        weighted = _segment_sums(probs * scores, segments)
-        probs = _segment_sums(probs, segments)
-        scores = weighted / probs
-    return scores, probs
-
-
-def _merge_reduce(parts: list[_Cell], max_lines: int) -> _Cell | None:
-    """Union of cells (stable k-way merge), reduced to the budget."""
-    if not parts:
-        return None
-    scores, probs = parts[0] if len(parts) == 1 else _merge_parts(parts)
-    return _reduce(scores, probs, max_lines)
+    return (np.zeros(1), np.ones(1), None)
 
 
 def _shift(cell: _Cell, score: float, prob: float) -> _Cell:
     """The "take" step: add a tuple's score, scale by its probability."""
-    return cell[0] + score, cell[1] * prob
+    return cell[0] + score, cell[1] * prob, None
 
 
 def _fold_row(
@@ -130,15 +96,12 @@ def _fold_row(
     max_lines: int,
 ) -> list[_Cell | None]:
     """Advance forward DP columns by one independent row."""
-    absent = 1.0 - prob
+    unit = _Unit(((score, prob, None),))
     new: list[_Cell | None] = [None] * len(state)
     for j in range(len(state) - 1, -1, -1):
-        parts: list[_Cell] = []
-        if state[j] is not None and absent > 0.0:
-            parts.append((state[j][0], state[j][1] * absent))
-        if j > 0 and state[j - 1] is not None:
-            parts.append(_shift(state[j - 1], score, prob))
-        new[j] = _merge_reduce(parts, max_lines)
+        new[j] = _combine(
+            unit, state[j], state[j - 1] if j else None, None, max_lines
+        )
     return new
 
 
@@ -150,10 +113,8 @@ def _cross(a: _Cell, b: _Cell, max_lines: int) -> _Cell:
     """
     if len(a[0]) > len(b[0]):
         a, b = b, a
-    parts = [
-        (a[0][i] + b[0], a[1][i] * b[1]) for i in range(len(a[0]))
-    ]
-    return _merge_reduce(parts, max_lines)
+    parts = [_shift(b, score, prob) for score, prob in zip(a[0], a[1])]
+    return _merge_cells(parts, max_lines)
 
 
 def _fold_states(
@@ -169,7 +130,7 @@ def _fold_states(
         for i in range(j + 1):
             if prefix[i] is not None and exist[j - i] is not None:
                 parts.append(_cross(prefix[i], exist[j - i], max_lines))
-        new[j] = _merge_reduce(parts, max_lines)
+        new[j] = _merge_cells(parts, max_lines)
     return new
 
 
@@ -198,7 +159,7 @@ class _DPSegment(RankSegment):
             state = _fold_row(state, entry.score, entry.prob, max_lines)
         self.exist = state
         self.ending = [
-            _merge_reduce(parts, max_lines) for parts in take_parts
+            _merge_cells(parts, max_lines) for parts in take_parts
         ]
         self.mass = sum(e.prob for e in self.entries)
         self.stale = False
@@ -348,10 +309,10 @@ class DeltaWindowState:
                         prefix, entry.score, entry.prob, max_lines
                     )
                 remaining = max(0, remaining - len(rows))
-        final = _merge_reduce(answer_parts, max_lines)
+        final = _merge_cells(answer_parts, max_lines)
         if final is None:
             return ScorePMF(())
-        scores, probs = final
+        scores, probs, _ = final
         return ScorePMF(
             (float(s), float(p), None) for s, p in zip(scores, probs)
         )
@@ -369,8 +330,6 @@ def reconstruct_vector_pmf(
     re-scoring, validation and sorting of the window table.  Each
     line carries the most probable top-k vector attaining its score.
     """
-    from repro.core.dp import _cell_to_pmf, _dp_run, _Unit
-
     units = [_Unit([(score, prob, tid)]) for tid, score, prob in rows]
     return _cell_to_pmf(
         _dp_run(units, k, [True] * len(units), max_lines)

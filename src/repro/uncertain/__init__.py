@@ -13,7 +13,8 @@ Public entry points:
 * :class:`~repro.uncertain.scoring.ScoredTable` — the canonical,
   rank-ordered algorithm input produced by applying a scoring function.
 * :mod:`~repro.uncertain.worlds` — exact possible-world enumeration.
-* :mod:`~repro.uncertain.sampling` — Monte-Carlo world sampling.
+* Monte-Carlo world sampling lives in :mod:`repro.mc`
+  (:class:`~repro.mc.sampler.BatchWorldSampler`).
 """
 
 from repro.uncertain.model import UncertainTuple
@@ -32,7 +33,6 @@ from repro.uncertain.worlds import (
     top_k_vectors_of_world,
     score_distribution_by_enumeration,
 )
-from repro.uncertain.sampling import WorldSampler, sample_score_distribution
 from repro.uncertain.discretize import (
     Bin,
     equal_depth_bins,
@@ -54,8 +54,6 @@ __all__ = [
     "top_k_of_world",
     "top_k_vectors_of_world",
     "score_distribution_by_enumeration",
-    "WorldSampler",
-    "sample_score_distribution",
     "Bin",
     "equal_width_bins",
     "equal_depth_bins",

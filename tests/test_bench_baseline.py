@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 from repro.bench.baseline import (
+    _calibration_factory,
+    backend_mismatch,
     check_against_baseline,
     read_baseline,
     run_baseline,
@@ -23,8 +25,9 @@ class TestBaselineModule:
 
     def test_run_baseline_shape(self):
         data = run_baseline(tiny_only=True, repeats=1)
-        assert data["schema"] == 1
+        assert data["schema"] == 2
         assert data["meta"]["tiny_only"] is True
+        assert data["meta"]["backend"] in ("python", "native")
         assert data["calibration"]["seconds"] > 0.0
         for entry in data["workloads"].values():
             assert entry["seconds"] > 0.0
@@ -62,6 +65,28 @@ class TestBaselineModule:
         assert check_against_baseline(slower_machine, committed) == []
         assert len(check_against_baseline(real_regression, committed)) == 1
 
+    def test_probe_builds_no_dp_engine(self, monkeypatch):
+        # The probe must not run the code under test: a kernel backend
+        # that speeds up the DP would otherwise shrink the yardstick.
+        from repro.core import dp
+
+        calls = []
+        monkeypatch.setattr(
+            dp, "_engine_for", lambda *args: calls.append(args)
+        )
+        probe = _calibration_factory()
+        probe()
+        assert calls == []
+
+    def test_backend_mismatch_is_reported(self):
+        native = {"meta": {"backend": "native"}}
+        python = {"meta": {"backend": "python"}}
+        message = backend_mismatch(python, native)
+        assert message is not None and "'native'" in message
+        assert backend_mismatch(native, native) is None
+        # Schema-1 baselines record no backend: not refused.
+        assert backend_mismatch(python, {"schema": 1}) is None
+
 
 class TestBenchCLI:
     def test_bench_tiny_writes_json(self, tmp_path, capsys):
@@ -98,3 +123,18 @@ class TestBenchCLI:
             ["bench", "--tiny", "--repeats", "1", "--check", str(path)]
         ) == 1
         assert "PERF REGRESSION" in capsys.readouterr().err
+
+    def test_bench_check_refuses_other_backend(self, tmp_path, capsys):
+        from repro.core import kernels
+
+        ran_on = kernels.resolve_backend(None)
+        other = "python" if ran_on == "native" else "native"
+        path = tmp_path / "BENCH_core.json"
+        path.write_text(
+            json.dumps({"schema": 2, "meta": {"backend": other}})
+        )
+        assert main(
+            ["bench", "--tiny", "--repeats", "1", "--check", str(path)]
+        ) == 1
+        err = capsys.readouterr().err
+        assert "cannot check" in err and repr(other) in err

@@ -25,8 +25,16 @@ from repro.datasets.synthetic import (
     SyntheticConfig,
     generate_synthetic_table,
 )
+from repro.mc.engine import MCEngine
 from repro.stats.metrics import wasserstein_distance
-from repro.uncertain.sampling import sample_score_distribution
+from repro.uncertain.scoring import ScoredTable
+
+
+def sample_score_distribution(table, k, samples, seed):
+    """MC estimate of the top-k score distribution: ``score -> prob``."""
+    scored = ScoredTable.from_table(table, lambda t: float(t["score"]))
+    engine = MCEngine(scored, k, samples=samples, seed=seed).run()
+    return engine.distribution().to_dict()
 
 
 class TestMonteCarloCrossCheck:
@@ -43,9 +51,7 @@ class TestMonteCarloCrossCheck:
         exact = top_k_score_distribution(
             table, "score", k, p_tau=1e-4, max_lines=100_000
         )
-        sampled_map = sample_score_distribution(
-            table, lambda t: float(t["score"]), k, 30_000, seed=14
-        )
+        sampled_map = sample_score_distribution(table, k, 30_000, seed=14)
         sampled = ScorePMF(
             (score, prob, None) for score, prob in sampled_map.items()
         )
@@ -61,9 +67,7 @@ class TestMonteCarloCrossCheck:
         table = generate_soldier_table(40, seed=15)
         k = 6
         exact = top_k_score_distribution(table, "score", k, p_tau=1e-4)
-        sampled_map = sample_score_distribution(
-            table, lambda t: float(t["score"]), k, 20_000, seed=16
-        )
+        sampled_map = sample_score_distribution(table, k, 20_000, seed=16)
         mean_sampled = sum(s * p for s, p in sampled_map.items()) / sum(
             sampled_map.values()
         )

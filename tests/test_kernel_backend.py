@@ -9,8 +9,8 @@ native backend's PMFs — scores, probabilities and vectors — are
 The rest covers the machinery around the kernel: the
 ``REPRO_BACKEND`` override, forced-fallback when the extension cannot
 load, the planner's backend decision surfacing in EXPLAIN, the
-``max_lines`` slab cap, and the process-parallel per-ending executor's
-determinism (including under ``PYTHONHASHSEED=random``).
+``max_lines`` slab cap, and the per-ending ablation's determinism
+under ``PYTHONHASHSEED=random``.
 """
 
 from __future__ import annotations
@@ -251,28 +251,7 @@ class TestPlannerDecision:
         assert "backend" not in dp["params"]
 
 
-class TestParallelPerEnding:
-    def test_workers_match_serial_exactly(self) -> None:
-        prefix = prepare_scored_prefix(
-            cartel_workload(segments=12), congestion_scorer(), 4, p_tau=0.0
-        )
-        serial = dp_distribution_per_ending(prefix, 4, max_lines=200)
-        parallel = dp_distribution_per_ending(
-            prefix, 4, max_lines=200, workers=2
-        )
-        assert_identical(serial, parallel)
-
-    def test_default_workers_gates_on_payoff(self) -> None:
-        from repro.core.kernels.parallel import default_workers
-
-        cpus = os.cpu_count() or 1
-        # Too small to amortize a pool spin-up: stay serial.
-        assert default_workers(64, est_serial_ms=10.0, spawn_ms=150.0) == 1
-        # One unit cannot fan out.
-        assert default_workers(1, est_serial_ms=1e6, spawn_ms=150.0) == 1
-        big = default_workers(64, est_serial_ms=1e6, spawn_ms=150.0)
-        assert big == (min(cpus, 64) if cpus > 1 else 1)
-
+class TestPerEndingDeterminism:
     def test_deterministic_under_random_hash_seed(self, tmp_path) -> None:
         """Two runs with ``PYTHONHASHSEED=random`` agree bit for bit."""
         script = tmp_path / "per_ending_digest.py"
@@ -284,8 +263,7 @@ class TestParallelPerEnding:
             "prefix = prepare_scored_prefix(\n"
             "    cartel_workload(segments=12), congestion_scorer(), 4,\n"
             "    p_tau=0.0)\n"
-            "pmf = dp_distribution_per_ending(\n"
-            "    prefix, 4, max_lines=200, workers=2)\n"
+            "pmf = dp_distribution_per_ending(prefix, 4, max_lines=200)\n"
             "print(repr((pmf.scores, pmf.probs, pmf.vectors)))\n"
         )
         env = dict(os.environ)

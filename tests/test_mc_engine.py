@@ -417,17 +417,15 @@ class TestSessionIntegration:
 
 
 class TestWorldSamplerEquivalence:
-    """The rewritten WorldSampler is statistically equivalent to the
-    old per-world loop (byte-identical draws are a documented
-    non-goal)."""
+    """Table-level batched draws are statistically equivalent to the
+    possible-worlds distribution (byte-identical draws to any earlier
+    sampler are a documented non-goal)."""
 
     def test_iterator_draws_match_batched_marginals(self, me_table):
-        from repro.uncertain.sampling import WorldSampler
-
-        sampler = WorldSampler(me_table, seed=11)
+        sampler = BatchWorldSampler.from_table(me_table, seed=11)
         counts = {tid: 0 for tid in me_table.tids}
         draws = 20_000
-        for world in sampler.sample_worlds(draws):
+        for world in sampler.world_sets(sampler.sample(draws)):
             for tid in world:
                 counts[tid] += 1
         for tid in me_table.tids:
@@ -436,17 +434,13 @@ class TestWorldSamplerEquivalence:
             )
 
     def test_interleaved_single_draws_stay_deterministic(self, me_table):
-        from repro.uncertain.sampling import WorldSampler
-
-        a = WorldSampler(me_table, seed=5)
-        b = WorldSampler(me_table, seed=5)
-        for _ in range(2500):  # spans multiple refill chunks
-            assert a.sample_world() == b.sample_world()
+        a = BatchWorldSampler.from_table(me_table, seed=5)
+        b = BatchWorldSampler.from_table(me_table, seed=5)
+        for count in (1, 1, 7, 16, 1, 1024, 3):
+            assert np.array_equal(a.sample(count), b.sample(count))
 
     def test_existence_matrix_fast_path(self, me_table):
-        from repro.uncertain.sampling import WorldSampler
-
-        sampler = WorldSampler(me_table, seed=6)
-        exists = sampler.sample_existence(1000)
+        sampler = BatchWorldSampler.from_table(me_table, seed=6)
+        exists = sampler.sample(1000)
         assert exists.shape == (1000, len(me_table))
         assert not (exists[:, 0] & exists[:, 1]).any()

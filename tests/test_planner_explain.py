@@ -255,7 +255,6 @@ class TestCostModelCalibration:
         assert constants["k_combo_max_combinations"] >= 1
         assert 1 <= constants["state_expansion_max_depth"] < 24
         assert constants["dp_native_unit_ns"] > 0
-        assert constants["parallel_spawn_ms"] > 0
         path = write_calibration(document, tmp_path / "cal.json")
         model = load_cost_model(path)
         assert model.source == str(path)
@@ -271,38 +270,53 @@ class TestCostModelCalibration:
             == str(path)
         )
 
+    #: Every constant a schema-1 calibration file carries.
+    SCHEMA_1_CONSTANTS = {
+        "mc_cost_budget": 123,
+        "k_combo_max_combinations": 45,
+        "state_expansion_max_depth": 6,
+        "dp_unit_ns": 7.0,
+        "k_combo_unit_ns": 8.0,
+        "state_unit_ns": 9.0,
+        "mc_world_row_ns": 10.0,
+        "prefix_row_ns": 11.0,
+    }
+
     def test_schema_1_file_loads_with_backend_defaults(
         self, tmp_path
     ) -> None:
         """Pre-backend calibration files keep working untouched."""
-        from repro.api.calibration import (
-            DEFAULT_DP_NATIVE_UNIT_NS,
-            DEFAULT_PARALLEL_SPAWN_MS,
-        )
+        from repro.api.calibration import DEFAULT_DP_NATIVE_UNIT_NS
 
         old = tmp_path / "old.json"
         old.write_text(
-            json.dumps(
-                {
-                    "schema": 1,
-                    "constants": {
-                        "mc_cost_budget": 123,
-                        "k_combo_max_combinations": 45,
-                        "state_expansion_max_depth": 6,
-                        "dp_unit_ns": 7.0,
-                        "k_combo_unit_ns": 8.0,
-                        "state_unit_ns": 9.0,
-                        "mc_world_row_ns": 10.0,
-                        "prefix_row_ns": 11.0,
-                    },
-                }
-            )
+            json.dumps({"schema": 1, "constants": self.SCHEMA_1_CONSTANTS})
         )
         model = load_cost_model(old)
         assert model.source == str(old)
-        assert model.mc_cost_budget == 123
+        for name, value in self.SCHEMA_1_CONSTANTS.items():
+            assert getattr(model, name) == value
         assert model.dp_native_unit_ns == DEFAULT_DP_NATIVE_UNIT_NS
-        assert model.parallel_spawn_ms == DEFAULT_PARALLEL_SPAWN_MS
+
+    def test_schema_2_file_with_dropped_constant_loads(
+        self, tmp_path
+    ) -> None:
+        """Earlier schema-2 files carry a process-pool spawn time the
+        model no longer has; it is ignored and the rest is intact."""
+        constants = {
+            **self.SCHEMA_1_CONSTANTS,
+            "dp_native_unit_ns": 3.5,
+            "storage_row_ns": 12.0,
+            "parallel_spawn_ms": 150.0,
+        }
+        old = tmp_path / "schema2.json"
+        old.write_text(json.dumps({"schema": 2, "constants": constants}))
+        model = load_cost_model(old)
+        assert model.source == str(old)
+        del constants["parallel_spawn_ms"]
+        for name, value in constants.items():
+            assert getattr(model, name) == value
+        assert not hasattr(model, "parallel_spawn_ms")
 
     def test_unreadable_calibration_falls_back(self, tmp_path) -> None:
         bad = tmp_path / "broken.json"

@@ -478,6 +478,28 @@ class TestHTTP:
         status, _, retry_after = _http_json(f"{server}/nope", None, 10.0)
         assert status == 404 and retry_after is None
 
+    def test_kept_alive_connection_does_not_stall(self, server) -> None:
+        # Headers and body go out in two sends; with Nagle's algorithm
+        # on, the body waits for the client's delayed ACK (~40 ms).
+        import http.client
+        from urllib.parse import urlsplit
+
+        url = urlsplit(server)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            latencies = []
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                response.read()
+                latencies.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            conn.close()
+        latencies.sort()
+        assert latencies[len(latencies) // 2] < 0.010, latencies
+
     def test_workload_is_deterministic(self) -> None:
         first = build_workload(["a", "b"], 30, seed=5)
         second = build_workload(["a", "b"], 30, seed=5)

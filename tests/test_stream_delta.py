@@ -8,6 +8,9 @@ coalescing, and must agree on mass/expectation when it does.
 
 from __future__ import annotations
 
+import random
+import warnings
+
 import numpy as np
 import pytest
 
@@ -114,6 +117,27 @@ class TestCoalescedEquivalence:
         assert a.total_mass() == pytest.approx(b.total_mass(), abs=1e-9)
         span = max(a.support_span(), 1e-12)
         assert abs(a.expectation() - b.expectation()) < span / 10
+
+    @pytest.mark.parametrize(
+        "window, k, prob",
+        [(200, 3, 0.999), (300, 5, 0.95), (500, 5, 0.9)],
+    )
+    def test_underflowing_buckets_are_dropped(self, window, k, prob):
+        # Long windows of near-certain tuples push whole coalescing
+        # buckets below the smallest normal double; their weighted-mean
+        # score is 0/0.  The delta window must drop them as the
+        # from-scratch DP does, not divide and crash.
+        delta, scratch = paired_windows(window, k, p_tau=0.0, max_lines=200)
+        rng = random.Random(1)
+        for _ in range(window):
+            score = rng.uniform(0, 100)
+            delta.append({"score": score}, probability=prob)
+            scratch.append({"score": score}, probability=prob)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, b = delta.distribution(), scratch.distribution()
+        assert a.total_mass() == pytest.approx(b.total_mass(), abs=1e-9)
+        assert a.expectation() == pytest.approx(b.expectation(), rel=1e-9)
 
 
 class TestGroupFallback:
